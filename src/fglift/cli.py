@@ -25,7 +25,7 @@ from .bounds import (
 from .colour import hacp_compress
 from .errors import FgliftError, SchemaError, StateSpaceTooLarge
 from .generate import PlantedSpec, planted_model
-from .hierarchy import build_hierarchy, level_for_epsilon, partition_at_level
+from .hierarchy import build_hierarchy, level_for_epsilon
 from .inference import DEFAULT_ENUM_BUDGET, dcd_distance, max_query_deviation
 from .io import (
     distance_matrix_to_csv,
@@ -60,10 +60,8 @@ def _cmd_order(args: argparse.Namespace) -> int:
     if args.matrix_csv:
         Path(args.matrix_csv).write_text(distance_matrix_to_csv(dm))
     print(f"m={g.m} levels={tree.num_levels}")
-    for level in range(tree.num_levels + 1):
-        part = partition_at_level(tree, level)
-        eps = 0.0 if level == 0 else ladder[level - 1]
-        print(f"level {level}: eps={fmt9(eps)} groups={part.num_groups}")
+    for level, eps in enumerate((0.0, *ladder)):
+        print(f"level {level}: eps={fmt9(eps)} groups={g.m - level}")
     return 0
 
 

@@ -30,14 +30,9 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyGroup,
-    HierarchyMismatch,
-    LengthMismatch,
-    LevelOutOfRange,
-)
-from .hierarchy import MergeTree, partition_at_level
-from .metric import odeed
+from .errors import EmptyGroup, HierarchyMismatch, LengthMismatch
+from .hierarchy import LevelPartition, MergeTree, partition_at_level
+from .metric import _pairwise_rows, max_pairwise
 from .model import Factor, FactorGraph, signature
 
 
@@ -181,7 +176,9 @@ def greedy_eps_grouping(g: FactorGraph, eps: float) -> Grouping:
         for blk in blocks:
             if sigs[blk[0]] != sigs[k]:
                 continue
-            if all(odeed(g.factors[b].table, f.table) <= eps for b in blk):
+            tables = np.stack([f.table, *(g.factors[b].table for b in blk)])
+            # row 0 of the kernel: distances from f to every member
+            if _pairwise_rows(tables, 0, 1).max() <= eps:
                 blk.append(k)
                 break
         else:
@@ -194,45 +191,33 @@ def greedy_eps_grouping(g: FactorGraph, eps: float) -> Grouping:
     return Grouping(frozen, tuple(colours), None)
 
 
-def _check_tree_matches(g: FactorGraph, h: MergeTree, level: int) -> None:
-    """Verify the cut's groups are consistent with the graph's distances.
+def _check_tree_matches(g: FactorGraph, h: MergeTree, cut: LevelPartition) -> None:
+    """Verify the cut's groups are consistent with the graph.
 
-    Every non-singleton group must reproduce, exactly, the merge distance of
-    the node that completed it (the maximum pairwise distance over its
-    members). A hierarchy built from a different graph fails this check.
+    Every non-singleton group must hold factors of one compatibility class
+    and reproduce, exactly, the merge distance of the node that completed it
+    (the maximum pairwise distance over its members). A hierarchy built from
+    a different graph fails this check.
     """
     if h.m != g.m:
         raise HierarchyMismatch(
             f"hierarchy over {h.m} factors applied to a graph with {g.m}"
         )
-    parent = list(range(g.m))
-    group_eps: dict[int, float] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for mg in h.merges[:level]:
-        parent[find(mg.j)] = find(mg.i)
-        group_eps[find(mg.i)] = mg.eps
-
-    members: dict[int, list[int]] = {}
-    for k in range(g.m):
-        members.setdefault(find(k), []).append(k)
-    for root, blk in members.items():
+    group_eps = {mg.i: mg.eps for mg in h.merges[: cut.level]}
+    for blk in cut.groups:
         if len(blk) < 2:
             continue
-        worst = max(
-            odeed(g.factors[a].table, g.factors[b].table)
-            for pos, a in enumerate(blk)
-            for b in blk[pos + 1 :]
-        )
-        if worst != group_eps[root]:
+        names = tuple(k + 1 for k in blk)
+        if len({signature(g.factors[k]) for k in blk}) > 1:
             raise HierarchyMismatch(
-                f"group {tuple(k + 1 for k in blk)} has pairwise distance "
-                f"{worst!r}, hierarchy recorded {group_eps[root]!r}; "
+                f"group {names} mixes compatibility classes; "
+                f"the hierarchy was not built from this graph"
+            )
+        worst = max_pairwise(np.stack([g.factors[k].table for k in blk]))
+        if worst != group_eps[blk[0]]:
+            raise HierarchyMismatch(
+                f"group {names} has pairwise distance "
+                f"{worst!r}, hierarchy recorded {group_eps[blk[0]]!r}; "
                 f"the hierarchy was not built from this graph"
             )
 
@@ -244,11 +229,9 @@ def hacp_compress(g: FactorGraph, h: MergeTree, level: int) -> CompressedModel:
     induced colours (splitting groups whose members differ structurally),
     Phase III swaps every block's tables for their shared mean.
     """
-    if not 0 <= level <= h.num_levels:
-        raise LevelOutOfRange(f"level {level} outside [0, {h.num_levels}]")
-    _check_tree_matches(g, h, level)
-
     cut = partition_at_level(h, level)
+    _check_tree_matches(g, h, cut)
+
     seed = [0] * g.m
     for pos, blk in enumerate(cut.groups):
         for k in blk:

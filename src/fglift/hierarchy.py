@@ -17,12 +17,23 @@ deterministic.
 Merged nodes are numbered m + 1, m + 2, ... in merge order (1-based, after
 the m leaves) in the serialised nested-list form, mirroring the convention
 used by the level selector downstream.
+
+Each merge's ``i`` and ``j`` are the smallest leaves of the two groups it
+joins, and ``i`` stays the smallest leaf of the result. Because the levels
+are nested, one forward sweep over the merge list gives every level:
+:meth:`MergeTree.replay` is that sweep, and every per-level view (level
+partitions, internal-node leaf sets, the exported level listing, the
+report and the compression tree check) reads it rather than replaying the
+merges itself.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -61,17 +72,35 @@ class MergeTree:
         """The merge-distance ladder, one value per level."""
         return tuple(mg.eps for mg in self.merges)
 
+    def replay(self) -> Iterator[dict[int, tuple[int, ...]]]:
+        """Groups after 0, 1, ..., ``num_levels`` merges, one dict per level.
+
+        Each dict maps a group's smallest leaf to its sorted leaves (0-based),
+        in ascending key order. It is one dict updated in place per level.
+        """
+        groups = {k: (k,) for k in range(self.m)}
+        yield groups
+        for mg in self.merges:
+            groups[mg.i] = tuple(sorted(groups[mg.i] + groups.pop(mg.j)))
+            yield groups
+
     def leaf_sets(self) -> list[frozenset[int]]:
         """Leaf set of every internal node, in merge order (0-based leaves)."""
-        current: dict[int, frozenset[int]] = {}
-        out: list[frozenset[int]] = []
+        levels = islice(self.replay(), 1, None)
+        return [frozenset(groups[mg.i]) for mg, groups in zip(self.merges, levels)]
+
+    def _fold(self, leaf, join) -> list:
+        """Fold the merges into one value per tree, in ascending root node id.
+
+        ``leaf(k)`` gives leaf k's value, ``join(mg, left, right)`` merge mg's;
+        a merge re-inserts its key last, which keeps the dict in root order.
+        """
+        node: dict = {}
         for mg in self.merges:
-            grp = current.pop(mg.i, frozenset([mg.i])) | current.pop(
-                mg.j, frozenset([mg.j])
-            )
-            current[mg.i] = grp
-            out.append(grp)
-        return out
+            left = node.pop(mg.i) if mg.i in node else leaf(mg.i)
+            right = node.pop(mg.j) if mg.j in node else leaf(mg.j)
+            node[mg.i] = join(mg, left, right)
+        return list(node.values())
 
     def nested(self) -> list:
         """Nested-list form with 1-based leaf ids and node ids ``m + level``.
@@ -81,13 +110,9 @@ class MergeTree:
         entries (one per tree in the forest; never-merged leaves excluded)
         are ordered by root node id.
         """
-        current: dict[int, list | int] = {}
-        for mg in self.merges:
-            left = current.pop(mg.i, mg.i + 1)
-            right = current.pop(mg.j, mg.j + 1)
-            current[mg.i] = [left, right, mg.node_id]
-        roots = [v for v in current.values() if isinstance(v, list)]
-        return sorted(roots, key=lambda entry: entry[2])
+        return self._fold(
+            lambda k: k + 1, lambda mg, left, right: [left, right, mg.node_id]
+        )
 
 
 @dataclass(frozen=True)
@@ -125,7 +150,7 @@ def build_hierarchy(dm: DistanceMatrix) -> tuple[MergeTree, tuple[float, ...]]:
     row_min = work.min(axis=1)
     row_arg = work.argmin(axis=1)
 
-    merges: list[Merge] = []
+    merges = []
     for level in range(1, m):
         act_idx = np.flatnonzero(active)
         pos = int(np.argmin(row_min[act_idx]))
@@ -169,24 +194,8 @@ def partition_at_level(h: MergeTree, level: int) -> LevelPartition:
         raise LevelOutOfRange(
             f"level {level} outside [0, {h.num_levels}]"
         )
-    parent = list(range(h.m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for mg in h.merges[:level]:
-        parent[find(mg.j)] = find(mg.i)
-
-    blocks: dict[int, list[int]] = {}
-    for k in range(h.m):
-        blocks.setdefault(find(k), []).append(k)
-    groups = tuple(
-        tuple(sorted(grp)) for grp in sorted(blocks.values(), key=lambda b: b[0])
-    )
-    return LevelPartition(level, groups)
+    groups = next(islice(h.replay(), level, None))
+    return LevelPartition(level, tuple(groups.values()))
 
 
 def level_for_epsilon(h: MergeTree, eps: float) -> int:
@@ -201,36 +210,23 @@ def export_tree(h: MergeTree) -> dict:
 
     The document carries the leaf count, the ladder, the forest (a list of
     root nodes; leaves appear as ``{"leaf": id}`` with 1-based ids) and every
-    level's groups. ``parse_tree`` inverts it exactly.
+    level's groups. ``parse_tree`` inverts it exactly; the level listing is
+    derived from the forest and is not read back.
     """
-    leaf_sets = h.leaf_sets()
-    node_for: dict[int, dict] = {}
-    merged: set[int] = set()
-    for mg, leaves in zip(h.merges, leaf_sets):
-        left = node_for.pop(mg.i, None) or {"leaf": mg.i + 1}
-        right = node_for.pop(mg.j, None) or {"leaf": mg.j + 1}
-        node_for[mg.i] = {
+    levels = []
+    for level, (eps, groups) in enumerate(zip((0.0, *h.epsilons), h.replay())):
+        one_based = [[k + 1 for k in grp] for grp in groups.values()]
+        levels.append({"level": level, "eps": eps, "groups": one_based})
+    roots = h._fold(
+        lambda k: {"leaf": k + 1},
+        lambda mg, left, right: {
             "id": mg.node_id,
             "eps": mg.eps,
             "children": [left, right],
-        }
-        merged.update((mg.i, mg.j))
-    roots = sorted(
-        (node for node in node_for.values()),
-        key=lambda node: node["id"],
+        },
     )
-    roots.extend({"leaf": k + 1} for k in range(h.m) if k not in merged)
-
-    levels = []
-    for level in range(h.num_levels + 1):
-        part = partition_at_level(h, level)
-        levels.append(
-            {
-                "level": level,
-                "eps": 0.0 if level == 0 else h.merges[level - 1].eps,
-                "groups": [[k + 1 for k in grp] for grp in part.groups],
-            }
-        )
+    # The last level's singletons are the leaves that were never merged.
+    roots.extend({"leaf": grp[0]} for grp in one_based if len(grp) == 1)
     return {
         "m": h.m,
         "epsilons": list(h.epsilons),
@@ -240,7 +236,14 @@ def export_tree(h: MergeTree) -> dict:
 
 
 def parse_tree(doc: dict) -> MergeTree:
-    """Rebuild a merge tree from its document form."""
+    """Rebuild a merge tree from its document form.
+
+    Raises :class:`SchemaError` unless the forest describes a valid merge
+    sequence: every leaf at most once, every child node's id below its
+    parent's, node ids consecutive from ``m + 1`` and a non-decreasing
+    ladder in node id order. The ``epsilons`` and ``levels`` fields are
+    derived output and are not read.
+    """
     try:
         m = int(doc["m"])
         roots = doc["tree"]
@@ -248,13 +251,17 @@ def parse_tree(doc: dict) -> MergeTree:
         raise SchemaError(f"hierarchy document lacks field {exc}") from None
 
     records: list[tuple[int, int, int, float]] = []
+    seen: set[int] = set()
 
-    def walk(node: dict) -> int:
+    def walk(node: dict, parent_id: float) -> int:
         """Return the smallest 0-based leaf id of the subtree."""
         if "leaf" in node:
             leaf = int(node["leaf"]) - 1
             if not 0 <= leaf < m:
                 raise SchemaError(f"leaf id {node['leaf']} outside 1..{m}")
+            if leaf in seen:
+                raise SchemaError(f"leaf id {node['leaf']} appears more than once")
+            seen.add(leaf)
             return leaf
         try:
             node_id = int(node["id"])
@@ -262,14 +269,19 @@ def parse_tree(doc: dict) -> MergeTree:
             left, right = node["children"]
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed hierarchy node: {exc}") from None
-        a, b = walk(left), walk(right)
+        if node_id >= parent_id:
+            raise SchemaError(
+                f"hierarchy node {node_id} is a child of node {parent_id}; "
+                f"children must have smaller ids"
+            )
+        a, b = walk(left, node_id), walk(right, node_id)
         if a > b:
             a, b = b, a
         records.append((node_id, a, b, eps))
         return a
 
     for root in roots:
-        walk(root)
+        walk(root, math.inf)
     records.sort()
     merges = []
     for pos, (node_id, a, b, eps) in enumerate(records, start=1):
@@ -277,6 +289,11 @@ def parse_tree(doc: dict) -> MergeTree:
             raise SchemaError(
                 f"hierarchy node ids must be consecutive from {m + 1}; "
                 f"found {node_id}"
+            )
+        if merges and eps < merges[-1].eps:
+            raise SchemaError(
+                f"hierarchy ladder decreases at node {node_id}: "
+                f"{eps!r} after {merges[-1].eps!r}"
             )
         merges.append(Merge(a, b, eps, node_id))
     return MergeTree(m, tuple(merges))

@@ -26,10 +26,9 @@ import csv
 import io as _io
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
-
-import numpy as np
 
 from . import hierarchy as _hierarchy
 from .bounds import dcd_bound_sharp, dcd_bounds_loose, pmax_bound
@@ -233,17 +232,18 @@ class ReportRow:
 
 def hierarchy_report_rows(tree: _hierarchy.MergeTree) -> list[ReportRow]:
     """Grouping stats plus bound values for every level of a tree."""
+    # Each merge joins two groups, so level L has m - L groups, and the
+    # largest group is the running maximum of the merged groups' sizes.
+    largest = accumulate((len(s) for s in tree.leaf_sets()), max, initial=1)
     rows = []
-    for level in range(tree.num_levels + 1):
-        part = _hierarchy.partition_at_level(tree, level)
-        eps = 0.0 if level == 0 else tree.merges[level - 1].eps
+    for level, (eps, max_size) in enumerate(zip((0.0, *tree.epsilons), largest)):
         d3, d4 = (None, None) if eps >= 1.0 else dcd_bounds_loose(eps, tree.m)
         rows.append(
             ReportRow(
                 level,
                 eps,
-                part.num_groups,
-                part.max_group_size,
+                tree.m - level,
+                max_size,
                 dcd_bound_sharp(eps, tree.m),
                 d3,
                 d4,
@@ -314,9 +314,8 @@ def distance_matrix_to_csv(dm: DistanceMatrix) -> str:
     out = _io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["i", "j", "distance"])
-    for i, j in dm.pairs():
-        value = dm.get(i, j)
-        writer.writerow(
-            [i + 1, j + 1, "inf" if np.isinf(value) else repr(value)]
-        )
+    writer.writerows(
+        (i + 1, j + 1, repr(value))  # repr(inf) is "inf"
+        for (i, j), value in zip(dm.pairs(), dm.entries.tolist())
+    )
     return out.getvalue()

@@ -104,20 +104,24 @@ class DistanceMatrix:
             else np.asarray(class_ids, dtype=np.int64).copy()
         )
         dm = cls(m, ent, cid)
-        for i, j in dm.pairs():
-            finite = np.isfinite(dm.get(i, j))
-            if finite != (cid[i] == cid[j]):
-                raise ValueError(
-                    f"entry ({i},{j}) must be finite iff the factors share "
-                    f"a compatibility class"
-                )
+        rows, cols = np.triu_indices(m, 1)
+        bad = np.flatnonzero(np.isfinite(ent) != (cid[rows] == cid[cols]))
+        if bad.size:
+            i, j = rows[bad[0]], cols[bad[0]]
+            raise ValueError(
+                f"entry ({i},{j}) must be finite iff the factors share "
+                f"a compatibility class"
+            )
         ent.setflags(write=False)
         cid.setflags(write=False)
         return dm
 
-    def index(self, i: int, j: int) -> int:
-        """Condensed position of the pair (i, j), i < j."""
-        if not 0 <= i < j < self.m:
+    def index(self, i: int, j: int | np.ndarray) -> int | np.ndarray:
+        """Condensed position of the pair (i, j), i < j.
+
+        ``j`` may be an integer array of columns, giving one position each.
+        """
+        if not (0 <= i and np.all(i < j) and np.all(j < self.m)):
             raise IndexError(f"pair ({i},{j}) outside strict upper triangle")
         return self.m * i - i * (i + 1) // 2 + (j - i - 1)
 
@@ -130,18 +134,14 @@ class DistanceMatrix:
         return float(self.entries[self.index(i, j)])
 
     def pairs(self) -> Iterator[tuple[int, int]]:
-        for i in range(self.m - 1):
-            for j in range(i + 1, self.m):
-                yield (i, j)
+        """Every pair i < j, in condensed storage order."""
+        rows, cols = np.triu_indices(self.m, 1)
+        return zip(rows.tolist(), cols.tolist())
 
     def square(self) -> np.ndarray:
         """Full symmetric matrix with a zero diagonal."""
         sq = np.zeros((self.m, self.m), dtype=np.float64)
-        pos = 0
-        for i in range(self.m - 1):
-            width = self.m - i - 1
-            sq[i, i + 1 :] = self.entries[pos : pos + width]
-            pos += width
+        sq[np.triu_indices(self.m, 1)] = self.entries
         return np.maximum(sq, sq.T)
 
 
@@ -150,14 +150,30 @@ class DistanceMatrix:
 _ROW_BLOCK = 64
 
 
-def _pairwise_rows(
-    tables: np.ndarray, start: int, stop: int
-) -> list[tuple[int, np.ndarray]]:
-    """Distances from each row in [start, stop) to every later row."""
+def _row_spans(n: int) -> list[tuple[int, int]]:
+    """``[start, stop)`` blocks of ``_ROW_BLOCK`` rows covering rows 0..n-2."""
+    return [(lo, min(lo + _ROW_BLOCK, n - 1)) for lo in range(0, n - 1, _ROW_BLOCK)]
+
+
+def _pairwise_rows(tables: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Distances from each row in [start, stop) to every row after ``start``.
+
+    Row ``a - start`` of the result holds, from column ``a - start`` on, the
+    distances from row ``a`` to each later row.
+    """
     block = tables[start:stop, None, :]
     tail = tables[None, start + 1 :, :]
-    d = (np.abs(block - tail) / np.minimum(block, tail)).max(axis=2)
-    return [(a, d[a - start, a - start :]) for a in range(start, stop)]
+    return (np.abs(block - tail) / np.minimum(block, tail)).max(axis=2)
+
+
+def max_pairwise(tables: np.ndarray) -> float:
+    """Largest pairwise ODEED among the rows of ``tables``.
+
+    Bit-equal to the largest :func:`distance_matrix` entry over the same
+    tables (one kernel); chunked by ``_ROW_BLOCK`` rows to bound memory.
+    """
+    blocks = (_pairwise_rows(tables, lo, hi) for lo, hi in _row_spans(len(tables)))
+    return float(max((d.max() for d in blocks), default=0.0))
 
 
 def distance_matrix(g: FactorGraph, *, threads: int = 1) -> DistanceMatrix:
@@ -185,29 +201,23 @@ def distance_matrix(g: FactorGraph, *, threads: int = 1) -> DistanceMatrix:
 
         # Condensed positions for (gi, gj) pairs are not contiguous when the
         # class is interleaved with others, so scatter by explicit index.
-        def _scatter(a: int, d: np.ndarray) -> None:
-            gi = int(members[a])
-            gj = members[a + 1 :]
-            idx = m * gi - gi * (gi + 1) // 2 + (gj - gi - 1)
-            entries[idx] = d
+        def _scatter(lo: int, d: np.ndarray) -> None:
+            for a in range(lo, lo + d.shape[0]):
+                gi = int(members[a])
+                entries[dm.index(gi, members[a + 1 :])] = d[a - lo, a - lo :]
 
-        rows = tables.shape[0] - 1
-        spans = [
-            (lo, min(lo + _ROW_BLOCK, rows)) for lo in range(0, rows, _ROW_BLOCK)
-        ]
+        spans = _row_spans(tables.shape[0])
         if threads > 1 and len(spans) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 futs = [
-                    pool.submit(_pairwise_rows, tables, lo, hi)
+                    (lo, pool.submit(_pairwise_rows, tables, lo, hi))
                     for lo, hi in spans
                 ]
-                for fut in futs:
-                    for a, d in fut.result():
-                        _scatter(a, d)
+                for lo, fut in futs:
+                    _scatter(lo, fut.result())
         else:
             for lo, hi in spans:
-                for a, d in _pairwise_rows(tables, lo, hi):
-                    _scatter(a, d)
+                _scatter(lo, _pairwise_rows(tables, lo, hi))
 
     entries.setflags(write=False)
     class_ids.setflags(write=False)

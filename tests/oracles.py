@@ -62,6 +62,30 @@ def naive_complete_linkage(square: np.ndarray) -> list[tuple[int, int, float]]:
     return merges
 
 
+def naive_level_partitions(m: int, merges) -> list[list[tuple[int, ...]]]:
+    """Groups at every level, rebuilt from the raw (i, j) merge list.
+
+    Level L applies the first L merges to singletons with a fresh union-find
+    and lists its blocks as sorted tuples ordered by smallest member.
+    """
+    out = []
+    for level in range(len(merges) + 1):
+        parent = list(range(m))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for i, j in merges[:level]:
+            parent[find(j)] = find(i)
+        blocks: dict[int, list[int]] = {}
+        for k in range(m):
+            blocks.setdefault(find(k), []).append(k)
+        out.append(sorted(tuple(b) for b in blocks.values()))
+    return out
+
+
 def assignments(g: FactorGraph):
     """All total assignments of a graph, as dicts."""
     names = [v.name for v in g.variables]

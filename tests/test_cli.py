@@ -4,9 +4,18 @@ import json
 
 import pytest
 
-from fglift import build_hierarchy, distance_matrix, partition_at_level
+from fglift import (
+    RandomVariable,
+    build_graph,
+    build_hierarchy,
+    distance_matrix,
+    partition_at_level,
+)
 from fglift.cli import main
-from fglift.io import read_compressed, read_hierarchy, read_model
+from fglift.io import fmt9, read_compressed, read_hierarchy, read_model, write_model
+
+from conftest import BOOL
+from oracles import naive_level_partitions
 
 
 @pytest.fixture
@@ -38,6 +47,49 @@ def test_gen_writes_model_and_sidecar(model_path, tmp_path):
     assert g.m == 9
     sidecar = json.loads((tmp_path / "model.json.groups.json").read_text())
     assert [len(b) for b in sidecar["blocks"]] == [3, 3, 3]
+
+
+def two_class_model(rng, m):
+    """m one-variable factors, over a boolean or over a three-state variable."""
+    variables = [RandomVariable("A", BOOL), RandomVariable("B", ("x", "y", "z"))]
+    factors = []
+    for k in range(m):
+        var = variables[k % 2 if k < 2 else int(rng.integers(0, 2))]
+        factors.append((f"f{k}", [var.name], rng.uniform(1.0, 2.0, var.size)))
+    return build_graph(variables, factors)
+
+
+def test_order_printout_matches_oracle(tmp_path, capsys, rng):
+    model, hier = tmp_path / "model.json", tmp_path / "hier.json"
+    for _ in range(10):
+        g = two_class_model(rng, int(rng.integers(2, 14)))
+        write_model(g, model)
+        assert main(["order", "--model", str(model), "--out", str(hier)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        tree = read_hierarchy(hier)
+        expected = naive_level_partitions(
+            g.m, [(mg.i, mg.j) for mg in tree.merges]
+        )
+        assert printed == [f"m={g.m} levels={tree.num_levels}"] + [
+            f"level {level}: eps={fmt9(eps)} groups={len(groups)}"
+            for level, (eps, groups) in enumerate(
+                zip((0.0, *tree.epsilons), expected)
+            )
+        ]
+
+
+def test_compress_foreign_hierarchy_exit_code(tmp_path, capsys):
+    from test_colour import mixed_class_graph
+
+    built_from, applied_to = tmp_path / "built.json", tmp_path / "other.json"
+    hier, out = tmp_path / "hier.json", tmp_path / "out.json"
+    write_model(mixed_class_graph(), built_from)
+    write_model(mixed_class_graph("XCD", ["X"], [1.0, 2.0, 3.0, 4.0]), applied_to)
+    assert main(["order", "--model", str(built_from), "--out", str(hier)]) == 0
+    argv = ["compress", "--model", str(applied_to), "--hierarchy", str(hier),
+            "--level", "1", "--out", str(out)]
+    assert main(argv) == 1
+    assert "compatibility classes" in capsys.readouterr().err
 
 
 def test_gen_deterministic(tmp_path):

@@ -45,6 +45,20 @@ def palindromic_chain(k=4, table=(1.0, 2.0, 3.0, 4.0)):
     return build_graph(variables, factors)
 
 
+def mixed_class_graph(variables="ABCD", f1_args=("A", "B"), f1_table=(1, 2, 3, 4)):
+    """f1 and f2(C, D) with close tables; X, when present, has four states."""
+    return build_graph(
+        [
+            RandomVariable(nm, ("a", "b", "c", "d") if nm == "X" else BOOL)
+            for nm in variables
+        ],
+        [
+            ("f1", list(f1_args), list(f1_table)),
+            ("f2", ["C", "D"], [1.0, 2.0, 3.0, 4.1]),
+        ],
+    )
+
+
 class TestMeanTable:
     def test_two_tables(self):
         assert np.array_equal(mean_table([[1.0, 2.0], [3.0, 2.0]]), [2.0, 2.0])
@@ -248,6 +262,20 @@ class TestHacpCompress:
             pytest.skip("no merges to validate")
         with pytest.raises(HierarchyMismatch):
             hacp_compress(g2, tree, tree.num_levels)
+
+    @pytest.mark.parametrize(
+        "variables, f1_args, f1_table",
+        [
+            ("ACD", ["A"], [1.0, 2.0]),
+            ("XCD", ["X"], [1.0, 2.0, 3.0, 4.0]),
+        ],
+        ids=["shorter-table", "same-length-table"],
+    )
+    def test_group_mixing_classes(self, variables, f1_args, f1_table):
+        tree, _ = build_hierarchy(distance_matrix(mixed_class_graph()))
+        g = mixed_class_graph(variables, f1_args, f1_table)
+        with pytest.raises(HierarchyMismatch, match="compatibility classes"):
+            hacp_compress(g, tree, 1)
 
     def test_mismatched_m(self, fig1, rng):
         g = random_graph(rng, n_vars=4, n_factors=5, max_arity=2)

@@ -13,9 +13,9 @@ from fglift import (
     parse_tree,
     partition_at_level,
 )
-from fglift.errors import LevelOutOfRange
+from fglift.errors import LevelOutOfRange, SchemaError
 
-from oracles import naive_complete_linkage
+from oracles import naive_complete_linkage, naive_level_partitions
 
 # ten leaves merging pairwise, then across, with an ultrametric realisation:
 # D[i][j] = height of the lowest common group
@@ -72,6 +72,18 @@ def random_matrix(rng, m, *, quantize=False, classes=1) -> DistanceMatrix:
                 v = float(rng.uniform(0.01, 2.0))
                 entries.append(round(v, 1) if quantize else v)
     return DistanceMatrix.from_entries(m, entries, class_ids)
+
+
+def oracle_trees(rng):
+    """The ten-factor tree, then random two-class forests."""
+    yield build_hierarchy(ten_factor_matrix())[0]
+    for _ in range(20):
+        m = int(rng.integers(1, 16))
+        yield build_hierarchy(random_matrix(rng, m, classes=2))[0]
+
+
+def oracle_levels(tree):
+    return naive_level_partitions(tree.m, [(mg.i, mg.j) for mg in tree.merges])
 
 
 class TestTenFactorExample:
@@ -240,3 +252,79 @@ class TestExportParse:
             dm = random_matrix(rng, int(rng.integers(1, 16)), classes=2)
             tree, _ = build_hierarchy(dm)
             assert parse_tree(export_tree(tree)) == tree
+
+
+class TestLevelViewsAgainstOracle:
+    def test_partitions_and_exported_levels(self, rng):
+        for tree in oracle_trees(rng):
+            expected = oracle_levels(tree)
+            doc = export_tree(tree)
+            listing = doc["levels"]
+            assert len(listing) == len(expected) == tree.num_levels + 1
+            assert [root for root in doc["tree"] if "leaf" in root] == [
+                {"leaf": grp[0] + 1} for grp in expected[-1] if len(grp) == 1
+            ]
+            for level, groups in enumerate(expected):
+                assert list(partition_at_level(tree, level).groups) == groups
+                assert listing[level]["groups"] == [
+                    [k + 1 for k in grp] for grp in groups
+                ]
+
+    def test_leaf_sets(self, rng):
+        for tree in oracle_trees(rng):
+            expected = oracle_levels(tree)
+            for level, (mg, leaves) in enumerate(
+                zip(tree.merges, tree.leaf_sets()), start=1
+            ):
+                grp = next(grp for grp in expected[level] if mg.i in grp)
+                assert leaves == frozenset(grp)
+
+
+class TestParseRejects:
+    @pytest.mark.parametrize(
+        "doc, reason",
+        [
+            (
+                {
+                    "m": 3,
+                    "tree": [
+                        {"id": 4, "eps": 0.1,
+                         "children": [{"leaf": 1}, {"leaf": 2}]},
+                        {"id": 5, "eps": 0.2,
+                         "children": [{"leaf": 1}, {"leaf": 3}]},
+                    ],
+                },
+                "more than once",
+            ),
+            (
+                {
+                    "m": 3,
+                    "tree": [
+                        {"id": 4, "eps": 0.5, "children": [
+                            {"id": 5, "eps": 0.1,
+                             "children": [{"leaf": 1}, {"leaf": 2}]},
+                            {"leaf": 3},
+                        ]},
+                    ],
+                },
+                "smaller ids",
+            ),
+            (
+                {
+                    "m": 3,
+                    "tree": [
+                        {"id": 5, "eps": 0.1, "children": [
+                            {"id": 4, "eps": 0.5,
+                             "children": [{"leaf": 1}, {"leaf": 2}]},
+                            {"leaf": 3},
+                        ]},
+                    ],
+                },
+                "ladder decreases",
+            ),
+        ],
+        ids=["repeated-leaf", "child-id-above-parent", "decreasing-ladder"],
+    )
+    def test_invalid_merge_sequence(self, doc, reason):
+        with pytest.raises(SchemaError, match=reason):
+            parse_tree(doc)

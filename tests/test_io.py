@@ -148,6 +148,17 @@ class TestReportCsv:
             "measured_dcd,measured_pmax\n"
         )
 
+    def test_group_stats_match_oracle(self, rng):
+        from test_hierarchy import oracle_levels, oracle_trees
+
+        for tree in oracle_trees(rng):
+            rows = hierarchy_report_rows(tree)
+            expected = oracle_levels(tree)
+            assert [r.num_groups for r in rows] == [len(p) for p in expected]
+            assert [r.max_group_size for r in rows] == [
+                max(map(len, p)) for p in expected
+            ]
+
     def test_empty_rows_header_only(self):
         assert report_to_csv([]).strip() == ",".join(
             (

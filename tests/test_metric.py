@@ -160,6 +160,36 @@ class TestDistanceMatrix:
         par = distance_matrix(g, threads=4)
         assert np.array_equal(seq.entries, par.entries)
 
+    def test_interleaved_classes_over_several_row_blocks(self, rng):
+        # unary factors on 2- and 3-state variables: two interleaved classes
+        # of about 80 factors each, more than one block of rows apiece
+        g = random_graph(rng, n_vars=4, n_factors=160, max_arity=1)
+        seq = distance_matrix(g, threads=1)
+        assert np.array_equal(seq.entries, distance_matrix(g, threads=2).entries)
+        for i, j in seq.pairs():
+            a, b = g.factors[i].table, g.factors[j].table
+            expected = naive_odeed(a, b) if a.size == b.size else math.inf
+            assert seq.get(i, j) == expected
+
+    def test_condensed_layout_matches_loops(self, rng):
+        m = 9
+        dm = DistanceMatrix.from_entries(
+            m, rng.uniform(0.0, 1.0, m * (m - 1) // 2)
+        )
+        pairs, sq, pos = [], np.zeros((m, m)), 0
+        for i in range(m - 1):
+            for j in range(i + 1, m):
+                assert dm.index(i, j) == pos
+                pairs.append((i, j))
+                sq[i, j] = sq[j, i] = dm.entries[pos]
+                pos += 1
+        assert list(dm.pairs()) == pairs
+        assert np.array_equal(dm.square(), sq)
+        cols = np.arange(3, m)
+        assert dm.index(2, cols).tolist() == [dm.index(2, j) for j in cols]
+        with pytest.raises(IndexError):
+            dm.index(2, np.array([1, 5]))
+
     def test_square_symmetric(self, rng):
         g = random_graph(rng, n_vars=4, n_factors=6, max_arity=2)
         dm = distance_matrix(g)
@@ -170,6 +200,8 @@ class TestDistanceMatrix:
     def test_from_entries_validates_classes(self):
         with pytest.raises(ValueError):
             DistanceMatrix.from_entries(3, [0.1, 0.2, 0.3], [0, 0, 1])
+        with pytest.raises(ValueError, match=r"entry \(1,2\)"):
+            DistanceMatrix.from_entries(3, [0.1, np.inf, 0.3], [0, 0, 1])
         dm = DistanceMatrix.from_entries(
             3, [0.1, np.inf, np.inf], [0, 0, 1]
         )
