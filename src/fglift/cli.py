@@ -136,11 +136,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
 
-    if measured > d2 + BOUND_SLACK:
+    if not (measured <= d2 + BOUND_SLACK):
         raise _BoundViolation(
             f"measured distance {measured!r} exceeds sharp bound {d2!r}"
         )
-    if report.pmax > pmax_bound(measured) + BOUND_SLACK:
+    if not (report.pmax <= pmax_bound(measured) + BOUND_SLACK):
         raise _BoundViolation(
             f"measured deviation {report.pmax!r} exceeds "
             f"{pmax_bound(measured)!r}"

@@ -71,6 +71,10 @@ class InconsistentEvidence(FgliftError):
     """Evidence has zero probability mass (possible only with clamped zeros)."""
 
 
+class NumericOverflow(FgliftError):
+    """A result exceeds the float range; the message gives its logarithm."""
+
+
 class StructureMismatch(FgliftError):
     """Two graphs compared distribution-wise do not share variables and ranges."""
 

@@ -2,9 +2,14 @@
 
 Two independent routes are provided and cross-checked in the test suite:
 variable elimination (default for queries) and full enumeration over the
-joint state space. Enumeration accumulates joint potentials in the log
-domain, so graphs with tens of variables do not underflow, and refuses to
-run past a configurable state budget instead of approximating.
+joint state space. Both work in the log domain, so long products of
+potentials neither overflow nor underflow. Variable elimination multiplies
+log tables by broadcast sums and sums variables out by log-sum-exp, in
+min-degree order kept up to date incrementally: after each elimination only
+the variables that shared a table with the eliminated one are re-costed.
+Enumeration refuses to run past a configurable state budget instead of
+approximating. ``partition_function`` raises :class:`NumericOverflow` when
+the normalisation constant exceeds the float range.
 
 The distribution distance used throughout is the Chan-Darwiche measure
 
@@ -16,14 +21,17 @@ between the two models.
 
 ``star_marginal`` evaluates hub queries on compressed star-shaped models,
 optionally exploiting grouped identical factors by computing each group's
-leaf summation once and raising it to the group size. The operation counter
-it reports counts visited table entries in those summations.
+leaf summation once and raising it to the group size, in the log domain.
+The operation counter it reports counts visited table entries in those
+summations.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +39,7 @@ import numpy as np
 from .colour import CompressedModel
 from .errors import (
     InconsistentEvidence,
+    NumericOverflow,
     PatternNotLiftable,
     StateSpaceTooLarge,
     StructureMismatch,
@@ -139,14 +148,24 @@ def partition_function(
     method: str = "enum",
     enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> float:
-    """Normalisation constant: the sum of joint potentials over all states."""
+    """Normalisation constant: the sum of joint potentials over all states.
+
+    Raises :class:`NumericOverflow` when the constant exceeds the float range.
+    """
     if method == "enum":
         _, arr = _log_joint(g, enum_budget=enum_budget)
-        return float(np.exp(_lse(arr)))
-    if method == "ve":
-        names, arr = _ve_contract(g, keep=(), evidence={})
-        return float(arr)
-    raise ValueError(f"unknown method {method!r}")
+        log_z = float(_lse(arr))
+    elif method == "ve":
+        _, arr = _ve_contract(g, keep=(), evidence={})
+        log_z = float(arr)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    try:
+        return math.exp(log_z)
+    except OverflowError:
+        raise NumericOverflow(
+            f"partition function exceeds the float range: log Z = {log_z!r}"
+        ) from None
 
 
 def _broadcast_to_scope(
@@ -165,62 +184,91 @@ def _broadcast_to_scope(
     return a.reshape(shape)
 
 
-def _product(
+def _log_product(
     items: list[tuple[tuple[str, ...], np.ndarray]]
 ) -> tuple[tuple[str, ...], np.ndarray]:
+    """Product of log tables: their broadcast sum over the union of scopes."""
     scope: list[str] = []
     for names, _ in items:
         for nm in names:
             if nm not in scope:
                 scope.append(nm)
-    out = np.ones([1] * len(scope)) if scope else np.ones(())
+    out = np.zeros([1] * len(scope))
     for names, arr in items:
-        out = out * _broadcast_to_scope(names, arr, scope)
+        out = out + _broadcast_to_scope(names, arr, scope)
     return tuple(scope), out
 
 
 def _ve_contract(
     g: FactorGraph, keep: tuple[str, ...], evidence: Assignment
 ) -> tuple[tuple[str, ...], np.ndarray]:
-    """Eliminate all variables outside ``keep``/evidence by min-degree order."""
-    work: list[tuple[tuple[str, ...], np.ndarray]] = []
-    for f in g.factors:
-        arr = f.table.reshape(f.shape)
-        idx: list = []
-        names: list[str] = []
-        for a in f.args:
-            if a.name in evidence:
-                idx.append(a.index_of(evidence[a.name]))
-            else:
-                idx.append(slice(None))
-                names.append(a.name)
-        work.append((tuple(names), np.asarray(arr[tuple(idx)], dtype=np.float64)))
+    """Log table over ``keep`` left after eliminating every other variable.
 
+    Evidence is sliced into each factor's log table. The next variable to
+    eliminate is the one whose product table would be smallest, ties broken
+    by name (min-degree). That size is kept per variable as the product of
+    the sizes of the variables it shares a table with, counted per table, so
+    adding or dropping a table updates the costs of its own variables only.
+    Each variable of a new table gets a fresh heap entry; entries whose cost
+    is stale are skipped.
+    """
     sizes = {v.name: v.size for v in g.variables}
-    remaining = [
-        v.name for v in g.variables if v.name not in keep and v.name not in evidence
-    ]
-    while remaining:
-        best: tuple[int, str] | None = None
-        for v in remaining:
-            scope = {v}
-            for names, _ in work:
-                if v in names:
-                    scope.update(names)
-            cost = math.prod(sizes[s] for s in scope)
-            if best is None or (cost, v) < best:
-                best = (cost, v)
-        v = best[1]
-        touching = [item for item in work if v in item[0]]
-        work = [item for item in work if v not in item[0]]
-        if touching:
-            names, arr = _product(touching)
-            axis = names.index(v)
-            work.append(
-                (names[:axis] + names[axis + 1 :], arr.sum(axis=axis))
-            )
-        remaining.remove(v)
-    return _product(work)
+    costs = {
+        v.name: 1
+        for v in g.variables
+        if v.name not in keep and v.name not in evidence
+    }
+    shared: dict[str, Counter[str]] = {u: Counter() for u in costs}
+    items: dict[int, tuple[tuple[str, ...], np.ndarray]] = {}
+    adjacent: dict[str, set[int]] = {v.name: set() for v in g.variables}
+    ids = itertools.count()
+
+    def add(names: tuple[str, ...], arr: np.ndarray) -> None:
+        k = next(ids)
+        items[k] = (names, arr)
+        for u in names:
+            adjacent[u].add(k)
+            if u in costs:
+                for w in names:
+                    if not shared[u][w]:
+                        costs[u] *= sizes[w]
+                    shared[u][w] += 1
+
+    def drop(k: int) -> tuple[tuple[str, ...], np.ndarray]:
+        names, arr = items.pop(k)
+        for u in names:
+            adjacent[u].discard(k)
+            if u in costs:
+                for w in names:
+                    shared[u][w] -= 1
+                    if not shared[u][w]:
+                        costs[u] //= sizes[w]
+        return names, arr
+
+    for f in g.factors:
+        idx = tuple(
+            a.index_of(evidence[a.name]) if a.name in evidence else slice(None)
+            for a in f.args
+        )
+        add(
+            tuple(a.name for a in f.args if a.name not in evidence),
+            np.log(np.asarray(f.table.reshape(f.shape)[idx], dtype=np.float64)),
+        )
+
+    heap = [(c, v) for v, c in costs.items()]
+    heapq.heapify(heap)
+    while heap:
+        c, v = heapq.heappop(heap)
+        if costs.get(v) != c:
+            continue
+        del costs[v]
+        names, arr = _log_product([drop(k) for k in sorted(adjacent[v])])
+        axis = names.index(v)
+        add(names[:axis] + names[axis + 1 :], _lse(arr, axis=(axis,)))
+        for u in names:
+            if u in costs:
+                heapq.heappush(heap, (costs[u], u))
+    return _log_product(list(items.values()))
 
 
 def query(
@@ -233,22 +281,18 @@ def query(
 ) -> QueryResult:
     """Conditional distribution of ``q`` given ``evidence``.
 
-    ``method="ve"`` contracts factors by min-degree variable elimination;
+    ``method="ve"`` contracts log tables by min-degree variable elimination;
     ``method="enum"`` marginalises the full log joint (the oracle route).
     """
     evidence = dict(evidence or {})
     _check_query_terms(g, q, evidence)
     if method == "ve":
-        names, arr = _ve_contract(g, keep=(q,), evidence=evidence)
-        vec = arr if names == (q,) else _broadcast_to_scope(
-            names, arr, [q]
-        ) * np.ones(g.variable(q).size)
-        total = vec.sum()
-        if total <= 0.0:
+        _, lp = _ve_contract(g, keep=(q,), evidence=evidence)
+        if not np.isfinite(lp).any():
             raise InconsistentEvidence(
                 f"evidence {evidence!r} has zero probability mass"
             )
-        return QueryResult(q, evidence, vec / total)
+        return QueryResult(q, evidence, _softmax(lp))
     if method == "enum":
         names, arr = _log_joint(g, enum_budget=enum_budget)
         indexer = [slice(None)] * len(names)
@@ -357,9 +401,11 @@ def star_marginal(
     once, all other arguments are private to their factor (degree one), and
     every block's members agree on tables, query position and leaf ranges.
     With ``lifted`` each block's leaf summation runs once and is raised to
-    the block size by repeated multiplication; otherwise each member is
-    summed separately. Both routes multiply identical values in identical
-    order, so they agree bit-for-bit. ``ops`` counts visited table entries.
+    the block size, as its logarithm added up block-size times; otherwise
+    each member is summed separately and the logs of the sums are added.
+    Both routes add identical values in identical order, so they agree
+    bit-for-bit, and working with logs keeps large blocks from overflowing
+    or underflowing. ``ops`` counts visited table entries.
     """
     g = cm.base
     if not g.has_variable(q):
@@ -382,7 +428,7 @@ def star_marginal(
                 )
 
     q_size = g.variable(q).size
-    unnorm = np.ones(q_size, dtype=np.float64)
+    log_unnorm = np.zeros(q_size, dtype=np.float64)
     ops = 0
     for blk in cm.grouping.blocks:
         members = [g.factors[k] for k in blk]
@@ -404,19 +450,19 @@ def star_marginal(
                 )
         axes = tuple(k for k in range(len(first.args)) if k != q_pos)
         if lifted:
-            s = first.table.reshape(first.shape).sum(axis=axes)
+            log_s = np.log(first.table.reshape(first.shape).sum(axis=axes))
             ops += first.dim
-            contrib = s.copy()
+            contrib = log_s.copy()
             for _ in range(len(members) - 1):
-                contrib = contrib * s
+                contrib = contrib + log_s
         else:
-            contrib = np.ones(q_size, dtype=np.float64)
+            contrib = np.zeros(q_size, dtype=np.float64)
             for f in members:
-                s = f.table.reshape(f.shape).sum(axis=axes)
+                log_s = np.log(f.table.reshape(f.shape).sum(axis=axes))
                 ops += f.dim
-                contrib = contrib * s
-        unnorm *= contrib
-    return QueryResult(q, {}, unnorm / unnorm.sum(), ops)
+                contrib = contrib + log_s
+        log_unnorm += contrib
+    return QueryResult(q, {}, _softmax(log_unnorm), ops)
 
 
 def lifted_marginal(

@@ -171,3 +171,62 @@ def factor_orbits(g: FactorGraph) -> list[tuple[int, ...]]:
     for k in range(g.m):
         blocks.setdefault(find(k), []).append(k)
     return sorted(tuple(b) for b in blocks.values())
+
+
+def _log_sum_exp(x: np.ndarray, axis: int) -> np.ndarray:
+    top = np.max(x, axis=axis, keepdims=True)
+    out = top + np.log(np.sum(np.exp(x - top), axis=axis, keepdims=True))
+    return np.squeeze(out, axis=axis)
+
+
+def _normalise_logs(lp: np.ndarray) -> np.ndarray:
+    w = np.exp(lp - lp.max())
+    return w / w.sum()
+
+
+def log_star_hub_belief(g: FactorGraph, hub: str) -> np.ndarray:
+    """Unnormalised log marginal of a star model's hub, in closed form.
+
+    Each factor holds the hub once and otherwise leaves private to it, so
+    the hub's log belief is the sum over factors of each log table's
+    log-sum-exp over its leaf axes. Its log-sum-exp is log Z.
+    """
+    seen: set[str] = set()
+    belief = np.zeros(g.variable(hub).size)
+    for f in g.factors:
+        names = [a.name for a in f.args]
+        leaves = [nm for nm in names if nm != hub]
+        if len(leaves) != len(names) - 1 or seen.intersection(leaves):
+            raise ValueError(f"factor {f.name!r} breaks the star pattern")
+        seen.update(leaves)
+        lt = np.log(np.asarray(f.table, dtype=np.float64))
+        lt = np.moveaxis(lt.reshape([a.size for a in f.args]), names.index(hub), 0)
+        belief += _log_sum_exp(lt.reshape(lt.shape[0], -1), axis=1)
+    return belief
+
+
+def log_star_hub_marginal(g: FactorGraph, hub: str) -> np.ndarray:
+    """Hub marginal of a star model from its closed-form log belief."""
+    return _normalise_logs(log_star_hub_belief(g, hub))
+
+
+def log_chain_marginal(g: FactorGraph, q: str) -> np.ndarray:
+    """Marginal of ``q`` on a pairwise chain by log-domain forward-backward.
+
+    Factor k must span variables k and k + 1 in declaration order.
+    """
+    names = [v.name for v in g.variables]
+    links = []
+    for k, f in enumerate(g.factors):
+        if [a.name for a in f.args] != names[k : k + 2] or len(names) != g.m + 1:
+            raise ValueError(f"factor {f.name!r} is not chain link {k + 1}")
+        lt = np.log(np.asarray(f.table, dtype=np.float64))
+        links.append(lt.reshape(f.args[0].size, f.args[1].size))
+    i = names.index(q)
+    forward = np.zeros(g.variables[0].size)
+    for lt in links[:i]:
+        forward = _log_sum_exp(forward[:, None] + lt, axis=0)
+    backward = np.zeros(g.variables[-1].size)
+    for lt in reversed(links[i:]):
+        backward = _log_sum_exp(lt + backward[None, :], axis=1)
+    return _normalise_logs(forward + backward)

@@ -11,7 +11,9 @@ from fglift import (
     distance_matrix,
     partition_at_level,
 )
+from fglift import cli
 from fglift.cli import main
+from fglift.inference import DeviationReport
 from fglift.io import fmt9, read_compressed, read_hierarchy, read_model, write_model
 
 from conftest import BOOL
@@ -212,6 +214,43 @@ def test_eval_level_zero_measures_zero(model_path, tmp_path):
     )
     assert float(footer["measured_dcd"]) == 0.0
     assert float(footer["measured_pmax"]) == 0.0
+
+
+@pytest.mark.parametrize("dcd, pmax", [(float("nan"), 0.0), (0.0, float("nan"))])
+def test_eval_nan_is_a_violation(model_path, tmp_path, monkeypatch, dcd, pmax):
+    # no scanned queries, so only the distance and pmax checks can fire
+    hier = tmp_path / "hier.json"
+    compressed = tmp_path / "c.json"
+    main(["order", "--model", str(model_path), "--out", str(hier)])
+    main(
+        [
+            "compress",
+            "--model",
+            str(model_path),
+            "--hierarchy",
+            str(hier),
+            "--level",
+            "3",
+            "--out",
+            str(compressed),
+        ]
+    )
+    monkeypatch.setattr(cli, "dcd_distance", lambda *a, **k: dcd)
+    monkeypatch.setattr(
+        cli, "max_query_deviation", lambda *a, **k: DeviationReport(dcd, pmax, None)
+    )
+    code = main(
+        [
+            "eval",
+            "--model",
+            str(model_path),
+            "--compressed",
+            str(compressed),
+            "--out",
+            str(tmp_path / "eval.csv"),
+        ]
+    )
+    assert code == 4
 
 
 def test_compress_eps_selector(model_path, tmp_path):

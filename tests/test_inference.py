@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fglift import (
+    PlantedSpec,
     RandomVariable,
     build_graph,
     build_hierarchy,
@@ -14,11 +18,13 @@ from fglift import (
     lifted_marginal,
     max_query_deviation,
     partition_function,
+    planted_model,
     pmax_bound,
     query,
     star_marginal,
 )
 from fglift.errors import (
+    NumericOverflow,
     PatternNotLiftable,
     StateSpaceTooLarge,
     StructureMismatch,
@@ -26,7 +32,24 @@ from fglift.errors import (
 )
 
 from conftest import BOOL, make_fig1, random_graph
-from oracles import brute_dcd, brute_marginal, brute_partition_function
+from oracles import (
+    brute_dcd,
+    brute_marginal,
+    brute_partition_function,
+    log_chain_marginal,
+    log_star_hub_belief,
+    log_star_hub_marginal,
+)
+
+#: Star whose linear-domain products overflow from about 160 factors on.
+OVERFLOW_STAR = PlantedSpec(
+    seed=909,
+    num_groups=20,
+    factors_per_group=8,
+    table_dim=4,
+    topology="star",
+    noise=0.05,
+)
 
 
 def star_graph(k: int, table=(2.0, 1.0, 3.0, 4.0), perturb=None):
@@ -71,6 +94,19 @@ class TestPartitionFunction:
         factors = [(f"f{k}", [f"V{k}"], [1e-6, 2e-6]) for k in range(22)]
         g = build_graph(variables, factors)
         assert partition_function(g) == pytest.approx(3e-6**22, rel=1e-9)
+
+    def test_ve_overflow_raises(self):
+        g, _ = planted_model(OVERFLOW_STAR)
+        with pytest.raises(NumericOverflow, match="log Z = "):
+            partition_function(g, method="ve")
+
+    def test_enum_overflow_raises(self):
+        # Z = (3e20)^20 is about 1e406, beyond the largest float
+        variables = [RandomVariable(f"V{k}", BOOL) for k in range(20)]
+        factors = [(f"f{k}", [f"V{k}"], [1e20, 2e20]) for k in range(20)]
+        g = build_graph(variables, factors)
+        with pytest.raises(NumericOverflow, match=r"log Z = 943\.00"):
+            partition_function(g, method="enum")
 
 
 class TestQuery:
@@ -121,6 +157,36 @@ class TestQuery:
     def test_query_in_evidence_rejected(self, fig1):
         with pytest.raises(ValueError):
             query(fig1, "B", {"B": "true"})
+
+    def test_planted_star_and_chain_at_m2000(self):
+        spec = replace(OVERFLOW_STAR, factors_per_group=100)
+        star, _ = planted_model(replace(spec, table_dim=16))
+        chain, _ = planted_model(replace(spec, topology="chain"))
+        t0 = time.perf_counter()
+        hub = query(star, "Q").probabilities
+        mid = query(chain, "V1001").probabilities
+        elapsed = time.perf_counter() - t0
+        assert np.isfinite(hub).all() and np.isfinite(mid).all()
+        np.testing.assert_allclose(
+            hub, log_star_hub_marginal(star, "Q"), rtol=1e-9, atol=0.0
+        )
+        np.testing.assert_allclose(
+            mid, log_chain_marginal(chain, "V1001"), rtol=1e-9, atol=0.0
+        )
+        assert elapsed < 10.0, f"two m=2000 queries took {elapsed:.1f}s"
+
+        # eliminating the hub too: log Z is far past the float range
+        t0 = time.perf_counter()
+        with pytest.raises(NumericOverflow) as info:
+            partition_function(star, method="ve")
+        elapsed = time.perf_counter() - t0
+        log_z = float(str(info.value).rsplit("= ", 1)[1])
+        belief = log_star_hub_belief(star, "Q")
+        top = belief.max()
+        assert log_z == pytest.approx(
+            top + np.log(np.exp(belief - top).sum()), rel=1e-9
+        )
+        assert elapsed < 10.0, f"log Z at m=2000 took {elapsed:.1f}s"
 
 
 class TestDcdDistance:
@@ -263,6 +329,45 @@ class TestLiftedMarginal:
         np.testing.assert_allclose(
             lifted.probabilities, query(cm.base, "Q").probabilities, atol=1e-12
         )
+
+    def test_long_products_stay_finite(self):
+        g, _ = planted_model(OVERFLOW_STAR)
+        tree, _ = build_hierarchy(distance_matrix(g))
+        cm = hacp_compress(g, tree, g.m - 20)
+        lifted = lifted_marginal(cm, "Q").probabilities
+        ground = star_marginal(cm, "Q", lifted=False).probabilities
+        ve = query(cm.base, "Q").probabilities
+        assert np.isfinite(lifted).all()
+        assert np.array_equal(lifted, ground)
+        assert np.abs(lifted - ve).max() <= 1e-12
+        np.testing.assert_allclose(
+            ve, log_star_hub_marginal(cm.base, "Q"), rtol=1e-9, atol=0.0
+        )
+
+    def test_opposed_large_blocks(self):
+        # Leaf sums are (2, 0.002) in one block of 121 and (0.002, 2) in one
+        # of 120, so each block alone weighs one hub value below 1e-360.
+        n = 120
+        variables = [RandomVariable("Q", BOOL)] + [
+            RandomVariable(f"L{p}", BOOL) for p in range(2 * n + 1)
+        ]
+        factors = [
+            (
+                f"f{p}",
+                [f"L{p}", "Q"],
+                [1.0, 1e-3, 1.0, 1e-3] if p <= n else [1e-3, 1.0, 1e-3, 1.0],
+            )
+            for p in range(2 * n + 1)
+        ]
+        g = build_graph(variables, factors)
+        tree, _ = build_hierarchy(distance_matrix(g))
+        cm = hacp_compress(g, tree, g.m - 2)
+        assert sorted(len(b) for b in cm.grouping.blocks) == [n, n + 1]
+        lifted = lifted_marginal(cm, "Q").probabilities
+        ground = star_marginal(cm, "Q", lifted=False).probabilities
+        assert np.array_equal(lifted, ground)
+        np.testing.assert_allclose(lifted, [1000 / 1001, 1 / 1001], rtol=1e-9)
+        assert np.abs(lifted - query(cm.base, "Q").probabilities).max() <= 1e-12
 
     def test_evidence_rejected(self, fig1):
         tree, _ = build_hierarchy(distance_matrix(fig1))
