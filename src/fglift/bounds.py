@@ -34,7 +34,7 @@ from .errors import EpsOutOfRange
 
 
 def _check_eps(eps: float, *, strict_upper: bool) -> None:
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise EpsOutOfRange(f"eps must be non-negative, got {eps}")
     if strict_upper and eps >= 1.0:
         raise EpsOutOfRange(f"eps must be below 1, got {eps}")
@@ -73,7 +73,7 @@ def pmax_bound(d: float) -> float:
     (expm1(d/2) + 2); identical to tanh(d/4). Saturates to 1.0 once the
     half-exponent overflows float64.
     """
-    if d < 0.0:
+    if not d >= 0.0:
         raise ValueError("distance must be non-negative")
     if d > 1416.0:
         return 1.0
@@ -85,7 +85,7 @@ def cd_interval(p: float, d: float) -> tuple[float, float]:
     """Reachable interval for a probability ``p`` under distance ``d``."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be a probability, got {p}")
-    if d < 0.0:
+    if not d >= 0.0:
         raise ValueError("distance must be non-negative")
     ed = math.exp(d)
     emd = math.exp(-d)

@@ -26,7 +26,7 @@ from .colour import hacp_compress
 from .errors import FgliftError, SchemaError, StateSpaceTooLarge
 from .generate import PlantedSpec, planted_model
 from .hierarchy import build_hierarchy, level_for_epsilon
-from .inference import DEFAULT_ENUM_BUDGET, dcd_distance, max_query_deviation
+from .inference import DEFAULT_ENUM_BUDGET, max_query_deviation
 from .io import (
     distance_matrix_to_csv,
     dumps,
@@ -91,11 +91,10 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     g = read_model(args.model, clamp_zeros=args.clamp_zeros)
     cm = read_compressed(args.compressed)
-    budget = args.enum_budget
-    measured = dcd_distance(g, cm.base, enum_budget=budget)
     report = max_query_deviation(
-        g, cm.base, args.evidence_budget, enum_budget=budget
+        g, cm.base, args.evidence_budget, enum_budget=args.enum_budget
     )
+    measured = report.dcd
 
     out = _io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -119,7 +118,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     d2 = dcd_bound_sharp(cm.eps, g.m)
     writer.writerow(["bound_d2", fmt9(d2)])
     if cm.eps < 1.0:
-        chain = bound_chain(cm.eps, g.m, measured)
+        chain = bound_chain(cm.eps, g.m)
         writer.writerow(["bound_d3", fmt9(chain.d3)])
         writer.writerow(["bound_d4", fmt9(chain.d4)])
         writer.writerow(["bound_pmax_d2", fmt9(chain.pmax_d2)])

@@ -75,6 +75,10 @@ class NumericOverflow(FgliftError):
     """A result exceeds the float range; the message gives its logarithm."""
 
 
+class NumericUnderflow(FgliftError):
+    """A result is too small for the float range; the message gives its logarithm."""
+
+
 class StructureMismatch(FgliftError):
     """Two graphs compared distribution-wise do not share variables and ranges."""
 

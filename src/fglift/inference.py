@@ -8,8 +8,9 @@ log tables by broadcast sums and sums variables out by log-sum-exp, in
 min-degree order kept up to date incrementally: after each elimination only
 the variables that shared a table with the eliminated one are re-costed.
 Enumeration refuses to run past a configurable state budget instead of
-approximating. ``partition_function`` raises :class:`NumericOverflow` when
-the normalisation constant exceeds the float range.
+approximating. ``partition_function`` raises :class:`NumericOverflow` or
+:class:`NumericUnderflow` when the normalisation constant leaves the float
+range.
 
 The distribution distance used throughout is the Chan-Darwiche measure
 
@@ -17,7 +18,9 @@ The distribution distance used throughout is the Chan-Darwiche measure
 
 computed by a full sweep over assignments; normalisation constants cancel
 in the two log ratios. It bounds the shift of every conditional query
-between the two models.
+between the two models. ``max_query_deviation`` measures that shift by
+enumeration, reading the marginals of all variables off one rescaled slice
+per evidence assignment: O(#evidence assignments x joint size).
 
 ``star_marginal`` evaluates hub queries on compressed star-shaped models,
 optionally exploiting grouped identical factors by computing each group's
@@ -40,6 +43,7 @@ from .colour import CompressedModel
 from .errors import (
     InconsistentEvidence,
     NumericOverflow,
+    NumericUnderflow,
     PatternNotLiftable,
     StateSpaceTooLarge,
     StructureMismatch,
@@ -66,7 +70,13 @@ class QueryResult:
 
 @dataclass(frozen=True)
 class QueryDeviation:
-    """Largest per-value gap of one conditional query between two models."""
+    """Largest per-value gap of one conditional query between two models.
+
+    When several values share the largest gap, which one is reported
+    depends on rounding; every boolean query is such a tie, as its two
+    values' gaps are equal. ``p``, ``p_compressed`` and ``abs_dev`` belong
+    to the reported value.
+    """
 
     variable: str
     value: str
@@ -150,7 +160,8 @@ def partition_function(
 ) -> float:
     """Normalisation constant: the sum of joint potentials over all states.
 
-    Raises :class:`NumericOverflow` when the constant exceeds the float range.
+    Raises :class:`NumericOverflow` when the constant exceeds the float range
+    and :class:`NumericUnderflow` when it is too small to represent.
     """
     if method == "enum":
         _, arr = _log_joint(g, enum_budget=enum_budget)
@@ -161,11 +172,16 @@ def partition_function(
     else:
         raise ValueError(f"unknown method {method!r}")
     try:
-        return math.exp(log_z)
+        z = math.exp(log_z)
     except OverflowError:
         raise NumericOverflow(
             f"partition function exceeds the float range: log Z = {log_z!r}"
         ) from None
+    if z == 0.0:
+        raise NumericUnderflow(
+            f"partition function underflows the float range: log Z = {log_z!r}"
+        )
+    return z
 
 
 def _broadcast_to_scope(
@@ -330,6 +346,23 @@ def dcd_distance(
     return float(diff.max() - diff.min())
 
 
+def _axis_marginals(lp: np.ndarray) -> list[np.ndarray]:
+    """Normalised marginal of every axis of the log table ``lp``.
+
+    The table is rescaled by its maximum and exponentiated once; each axis's
+    marginal is then the row sums over the leading axis, which is summed
+    away before the next, so the work is linear in the table size.
+    """
+    w = np.exp(lp - lp.max())
+    out = []
+    for size in lp.shape:
+        w = w.reshape(size, -1)
+        m = w.sum(axis=1)
+        out.append(m / m.sum())
+        w = w.sum(axis=0)
+    return out
+
+
 def max_query_deviation(
     g: FactorGraph,
     g2: FactorGraph,
@@ -342,6 +375,13 @@ def max_query_deviation(
     Every variable is queried under every evidence assignment of up to
     ``evidence_budget`` other variables (0 scans marginals only). The
     returned maximum is over the scanned queries.
+
+    Each evidence assignment is visited once: its slice of each log joint is
+    rescaled by the slice's own maximum (so improbable evidence stays
+    exact) and exponentiated once, and the marginals of all remaining
+    variables are read off it by :func:`_axis_marginals`. The cost is
+    O(#evidence assignments x joint size). Rows come out ordered by query
+    variable, evidence count, evidence variables and evidence values.
     """
     _check_same_structure(g, g2)
     order = [v.name for v in g.variables]
@@ -350,44 +390,41 @@ def max_query_deviation(
     diff = lp2 - lp1
     dcd = float(diff.max() - diff.min())
 
-    sizes = [g.variable(nm).size for nm in order]
+    n = len(order)
+    rows = []
+    for count in range(min(evidence_budget, n - 1) + 1):
+        for ev_axes in itertools.combinations(range(n), count):
+            kept = [k for k in range(n) if k not in ev_axes]
+            ranges = (range(lp1.shape[a]) for a in ev_axes)
+            for combo in itertools.product(*ranges):
+                indexer: list = [slice(None)] * n
+                for a, value_pos in zip(ev_axes, combo):
+                    indexer[a] = value_pos
+                margs1 = _axis_marginals(lp1[tuple(indexer)])
+                margs2 = _axis_marginals(lp2[tuple(indexer)])
+                for qi, p, p2 in zip(kept, margs1, margs2):
+                    rows.append((qi, count, ev_axes, combo, p, p2))
+    rows.sort(key=lambda row: row[:4])
+
     deviations: list[QueryDeviation] = []
     worst: QueryDeviation | None = None
-    for qi, q in enumerate(order):
-        others = [k for k in range(len(order)) if k != qi]
-        for count in range(min(evidence_budget, len(others)) + 1):
-            for ev_axes in itertools.combinations(others, count):
-                for combo in itertools.product(
-                    *(range(sizes[a]) for a in ev_axes)
-                ):
-                    indexer: list = [slice(None)] * len(order)
-                    for a, value_pos in zip(ev_axes, combo):
-                        indexer[a] = value_pos
-                    sub1 = lp1[tuple(indexer)]
-                    sub2 = lp2[tuple(indexer)]
-                    kept = [k for k in range(len(order)) if k not in ev_axes]
-                    q_axis = kept.index(qi)
-                    margin = tuple(
-                        k for k in range(len(kept)) if k != q_axis
-                    )
-                    p = _softmax(_lse(sub1, axis=margin) if margin else sub1)
-                    p2 = _softmax(_lse(sub2, axis=margin) if margin else sub2)
-                    gaps = np.abs(p - p2)
-                    vi = int(gaps.argmax())
-                    dev = QueryDeviation(
-                        q,
-                        g.variable(q).range[vi],
-                        {
-                            order[a]: g.variable(order[a]).range[value_pos]
-                            for a, value_pos in zip(ev_axes, combo)
-                        },
-                        float(p[vi]),
-                        float(p2[vi]),
-                        float(gaps[vi]),
-                    )
-                    deviations.append(dev)
-                    if worst is None or dev.abs_dev > worst.abs_dev:
-                        worst = dev
+    for qi, _, ev_axes, combo, p, p2 in rows:
+        gaps = np.abs(p - p2)
+        vi = int(gaps.argmax())
+        dev = QueryDeviation(
+            order[qi],
+            g.variable(order[qi]).range[vi],
+            {
+                order[a]: g.variable(order[a]).range[value_pos]
+                for a, value_pos in zip(ev_axes, combo)
+            },
+            float(p[vi]),
+            float(p2[vi]),
+            float(gaps[vi]),
+        )
+        deviations.append(dev)
+        if worst is None or dev.abs_dev > worst.abs_dev:
+            worst = dev
     pmax = worst.abs_dev if worst is not None else 0.0
     return DeviationReport(dcd, pmax, worst, deviations)
 

@@ -193,3 +193,30 @@ def test_ten_times_eps_close_to_ten_times_m():
             a = dcd_bound_sharp(10 * eps, m)
             b = dcd_bound_sharp(eps, 10 * m)
             assert abs(a - b) / b <= 0.15
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: pmax_bound(NAN), ValueError),
+        (lambda: cd_interval(0.5, NAN), ValueError),
+        (lambda: dcd_bound_sharp(NAN, 10), EpsOutOfRange),
+        (lambda: dcd_bounds_loose(NAN, 10), EpsOutOfRange),
+        (lambda: bound_chain(NAN, 10), EpsOutOfRange),
+        (lambda: bound_chain(0.1, 10, NAN), ValueError),
+    ],
+    ids=[
+        "pmax_bound",
+        "cd_interval",
+        "dcd_bound_sharp",
+        "dcd_bounds_loose",
+        "bound_chain",
+        "bound_chain_measured",
+    ],
+)
+def test_nan_is_rejected(call, error):
+    with pytest.raises(error):
+        call()

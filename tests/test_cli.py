@@ -235,7 +235,6 @@ def test_eval_nan_is_a_violation(model_path, tmp_path, monkeypatch, dcd, pmax):
             str(compressed),
         ]
     )
-    monkeypatch.setattr(cli, "dcd_distance", lambda *a, **k: dcd)
     monkeypatch.setattr(
         cli, "max_query_deviation", lambda *a, **k: DeviationReport(dcd, pmax, None)
     )

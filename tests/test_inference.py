@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import time
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +27,7 @@ from fglift import (
 )
 from fglift.errors import (
     NumericOverflow,
+    NumericUnderflow,
     PatternNotLiftable,
     StateSpaceTooLarge,
     StructureMismatch,
@@ -106,6 +109,22 @@ class TestPartitionFunction:
         factors = [(f"f{k}", [f"V{k}"], [1e20, 2e20]) for k in range(20)]
         g = build_graph(variables, factors)
         with pytest.raises(NumericOverflow, match=r"log Z = 943\.00"):
+            partition_function(g, method="enum")
+
+    def test_ve_underflow_raises(self):
+        # Z = (3e-10)^40 is about 1e-381, below the smallest float
+        variables = [RandomVariable(f"V{k}", BOOL) for k in range(40)]
+        factors = [(f"f{k}", [f"V{k}"], [1e-10, 2e-10]) for k in range(40)]
+        g = build_graph(variables, factors)
+        with pytest.raises(NumericUnderflow, match=r"log Z = -877\.08"):
+            partition_function(g, method="ve")
+
+    def test_enum_underflow_raises(self):
+        # Z = (3e-20)^20 is about 3.5e-391
+        variables = [RandomVariable(f"V{k}", BOOL) for k in range(20)]
+        factors = [(f"f{k}", [f"V{k}"], [1e-20, 2e-20]) for k in range(20)]
+        g = build_graph(variables, factors)
+        with pytest.raises(NumericUnderflow, match=r"log Z = -899\.06"):
             partition_function(g, method="enum")
 
 
@@ -290,6 +309,71 @@ class TestMaxQueryDeviation:
         assert report.worst is not None
         assert report.worst.abs_dev == report.pmax
         assert report.pmax > 0
+
+    @pytest.mark.parametrize("budget", [0, 1, 2])
+    def test_rows_match_ve(self, rng, budget):
+        for _ in range(4):
+            g = random_graph(rng, n_vars=5, n_factors=4, max_arity=3)
+            g2 = build_graph(
+                list(g.variables),
+                [
+                    (
+                        f.name,
+                        [a.name for a in f.args],
+                        list(f.table * rng.uniform(0.8, 1.2, f.dim)),
+                    )
+                    for f in g.factors
+                ],
+            )
+            report = max_query_deviation(g, g2, budget)
+            for dev in report.deviations:
+                p = query(g, dev.variable, dev.evidence).probabilities
+                p2 = query(g2, dev.variable, dev.evidence).probabilities
+                vi = g.variable(dev.variable).index_of(dev.value)
+                assert abs(dev.p - p[vi]) <= 1e-12
+                assert abs(dev.p_compressed - p2[vi]) <= 1e-12
+                assert abs(dev.abs_dev - np.abs(p - p2).max()) <= 1e-12
+            names = [v.name for v in g.variables]
+            expected = sum(
+                math.prod(g.variable(e).size for e in ev)
+                for q in names
+                for count in range(budget + 1)
+                for ev in itertools.combinations(
+                    [nm for nm in names if nm != q], count
+                )
+            )
+            assert len(report.deviations) == expected
+
+    def test_improbable_evidence_stays_exact(self):
+        # B=t carries weight about 1e-400: exponentiating the whole joint
+        # at once would zero that slice and give 0/0
+        ft = ("f", "t")
+        variables = [RandomVariable(nm, ft) for nm in "ABC"]
+
+        def graph(p3):
+            return build_graph(
+                variables,
+                [
+                    ("p1", ["B"], [1.0, 1e-200]),
+                    ("p2", ["B", "C"], [1.0, 1.0, 1e-200, 1e-200]),
+                    ("p3", ["A", "B"], p3),
+                ],
+            )
+
+        g, g2 = graph([1.0, 2.0, 3.0, 1.0]), graph([1.0, 2.1, 3.0, 1.0])
+        report = max_query_deviation(g, g2, evidence_budget=1)
+        (dev,) = [
+            d
+            for d in report.deviations
+            if d.variable == "A" and d.evidence == {"B": "t"}
+        ]
+        vi = g.variable("A").index_of(dev.value)
+        expected = query(g, "A", {"B": "t"}).probabilities
+        expected2 = query(g2, "A", {"B": "t"}).probabilities
+        assert math.isfinite(dev.p) and math.isfinite(dev.p_compressed)
+        assert abs(dev.p - expected[vi]) <= 1e-12
+        assert abs(dev.p_compressed - expected2[vi]) <= 1e-12
+        assert abs(dev.abs_dev - np.abs(expected - expected2).max()) <= 1e-12
 
 
 class TestLiftedMarginal:
